@@ -43,10 +43,10 @@ MemoryModel::writeCapability(uint64_t addr, const Capability &c,
     assert(n <= kMaxScalarBytes);
     uint8_t repr[kMaxScalarBytes];
     arch().toBytes(c, repr);
-    AbsByte bs[kMaxScalarBytes];
-    for (unsigned i = 0; i < n; ++i)
-        bs[i] = AbsByte{prov, repr[i], i};
-    store_->writeBytes(addr, bs, n);
+    if (pagedStore_)
+        pagedStore_->writeCapRepr(addr, repr, n, prov);
+    else
+        store_->writeCapRepr(addr, repr, n, prov);
     assert(addr % n == 0);
     store_->setCapMeta(addr, CapMeta{c.tag(), c.ghost()});
 }
@@ -157,12 +157,8 @@ MemoryModel::reprValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty,
                 // representation is stored, the tag cannot be.
                 uint8_t repr[kMaxScalarBytes];
                 arch().toBytes(*iv.cap, repr);
-                AbsByte bs[kMaxScalarBytes];
-                for (uint64_t i = 0; i < n; ++i) {
-                    bs[i] = AbsByte{iv.prov, repr[i],
-                                    static_cast<uint32_t>(i)};
-                }
-                store_->writeBytes(addr, bs, n);
+                store_->writeCapRepr(addr, repr,
+                                     static_cast<unsigned>(n), iv.prov);
                 invalidateCapMeta(addr, n);
                 return Unit{};
             }
@@ -221,12 +217,8 @@ MemoryModel::reprValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty,
         if (addr % arch().capSize() != 0) {
             uint8_t repr[kMaxScalarBytes];
             arch().toBytes(*pv.cap, repr);
-            AbsByte bs[kMaxScalarBytes];
-            for (uint64_t i = 0; i < n; ++i) {
-                bs[i] = AbsByte{pv.prov, repr[i],
-                                static_cast<uint32_t>(i)};
-            }
-            store_->writeBytes(addr, bs, n);
+            store_->writeCapRepr(addr, repr, static_cast<unsigned>(n),
+                                 pv.prov);
             invalidateCapMeta(addr, n);
             return Unit{};
         }
@@ -319,8 +311,55 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
         return all_present;
     };
 
+    // Pointer and (u)intptr_t loads: one capability representation,
+    // read without materialising its AbsBytes.  Sets @p prov to the
+    // representation's provenance (empty unless it is intact) and
+    // returns nullopt when reading it is UB (uninitialised bytes).
+    auto read_cap = [&](Provenance &prov) -> std::optional<Capability> {
+        assert(n <= kMaxScalarBytes);
+        uint8_t raw[kMaxScalarBytes];
+        bool all_present, prov_ok;
+        unsigned m = static_cast<unsigned>(n);
+        if (pagedStore_) {
+            pagedStore_->readCapRepr(addr, m, raw, &all_present, &prov,
+                                     &prov_ok);
+        } else {
+            store_->readCapRepr(addr, m, raw, &all_present, &prov,
+                                &prov_ok);
+        }
+        // Hardware view: absent bytes read as zero (readCapRepr's raw).
+        if (!all_present && config_.readUninitIsUb)
+            return std::nullopt;
+        bool aligned = addr % arch().capSize() == 0;
+        std::optional<CapMeta> meta_opt =
+            aligned ? store_->capMetaAt(addr) : std::nullopt;
+        CapMeta meta = meta_opt.value_or(CapMeta{});
+        cap::GhostState ghost = aligned ? meta.ghost : cap::GhostState{};
+        if (config_.ghostState && prov_ok && !prov.isEmpty() &&
+            aligned && !meta_opt) {
+            // The bytes are a verbatim copy of some capability's
+            // representation made with non-capability stores: an
+            // optimiser may turn that copy into a tag-preserving
+            // one (section 3.5), so the tag is unspecified.
+            ghost.tagUnspec = true;
+        }
+        if (!prov_ok)
+            prov = Provenance::empty();
+        return arch().fromBytes(raw, aligned && meta.tag).withGhost(ghost);
+    };
+
     switch (ty->kind) {
       case Type::Kind::Integer: {
+        if (ty->isCapInteger()) {
+            Provenance prov;
+            std::optional<Capability> c = read_cap(prov);
+            if (!c) {
+                return Failure::undefined(Ub::ReadUninitialized, loc,
+                                          "at " + hexStr(addr));
+            }
+            return MemValue(IntegerValue::ofCap(ty->intKind, *c, prov));
+        }
+
         assert(n <= kMaxScalarBytes);
         AbsByte bs[kMaxScalarBytes];
         bool present = read_into(addr, n, bs);
@@ -330,39 +369,6 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
                                           "at " + hexStr(addr));
             }
             return MemValue(UnspecValue{ty});
-        }
-
-        if (ty->isCapInteger()) {
-            uint8_t raw[kMaxScalarBytes];
-            Provenance prov = bs[0].prov;
-            bool prov_ok = true;
-            for (uint64_t i = 0; i < n; ++i) {
-                raw[i] = *bs[i].value;
-                if (!(bs[i].prov == prov) || !bs[i].index ||
-                    *bs[i].index != i) {
-                    prov_ok = false;
-                }
-            }
-            bool aligned = addr % arch().capSize() == 0;
-            std::optional<CapMeta> meta_opt =
-                aligned ? store_->capMetaAt(addr) : std::nullopt;
-            CapMeta meta = meta_opt.value_or(CapMeta{});
-            cap::GhostState ghost =
-                aligned ? meta.ghost : cap::GhostState{};
-            if (config_.ghostState && prov_ok && !prov.isEmpty() &&
-                aligned && !meta_opt) {
-                // The bytes are a verbatim copy of some capability's
-                // representation made with non-capability stores: an
-                // optimiser may turn that copy into a tag-preserving
-                // one (section 3.5), so the tag is unspecified.
-                ghost.tagUnspec = true;
-            }
-            Capability c =
-                arch().fromBytes(raw, aligned && meta.tag);
-            c = c.withGhost(ghost);
-            return MemValue(IntegerValue::ofCap(
-                ty->intKind, c,
-                prov_ok ? prov : Provenance::empty()));
         }
 
         // The load rule's expose step (2f): reading pointer bytes at
@@ -420,50 +426,23 @@ MemoryModel::abstValue(const SourceLoc &loc, uint64_t addr, const TypeRef &ty)
       }
 
       case Type::Kind::Pointer: {
-        assert(n <= kMaxScalarBytes);
-        AbsByte bs[kMaxScalarBytes];
-        if (!read_into(addr, n, bs)) {
-            if (config_.readUninitIsUb) {
-                return Failure::undefined(Ub::ReadUninitialized, loc,
-                                          "at " + hexStr(addr));
-            }
-            return MemValue(UnspecValue{ty});
+        Provenance prov;
+        std::optional<Capability> c = read_cap(prov);
+        if (!c) {
+            return Failure::undefined(Ub::ReadUninitialized, loc,
+                                      "at " + hexStr(addr));
         }
-        uint8_t raw[kMaxScalarBytes];
-        Provenance prov = bs[0].prov;
-        bool prov_ok = true;
-        for (uint64_t i = 0; i < n; ++i) {
-            raw[i] = *bs[i].value;
-            if (!(bs[i].prov == prov) || !bs[i].index ||
-                *bs[i].index != i) {
-                prov_ok = false;
-            }
-        }
-        bool aligned = addr % arch().capSize() == 0;
-        std::optional<CapMeta> meta_opt =
-            aligned ? store_->capMetaAt(addr) : std::nullopt;
-        CapMeta meta = meta_opt.value_or(CapMeta{});
-        cap::GhostState ghost =
-            aligned ? meta.ghost : cap::GhostState{};
-        if (config_.ghostState && prov_ok && !prov.isEmpty() &&
-            aligned && !meta_opt) {
-            // See the capability-integer case above (section 3.5).
-            ghost.tagUnspec = true;
-        }
-        if (!prov_ok)
-            prov = Provenance::empty();
-        Capability c = arch().fromBytes(raw, aligned && meta.tag);
-        c = c.withGhost(ghost);
-
-        if (!c.tag() && !c.ghost().any() && c.address() == 0 &&
+        if (!c->tag() && !c->ghost().any() && c->address() == 0 &&
             prov.isEmpty()) {
             return MemValue(PointerValue::null(arch()));
         }
-        if (auto func = functionAt(c.address());
-            func && c.isSentry()) {
-            return MemValue(PointerValue::function(*func, c));
+        // Only a sentry can be a function pointer: test that before
+        // paying for the function-table lookup.
+        if (c->isSentry()) {
+            if (auto func = functionAt(c->address()))
+                return MemValue(PointerValue::function(*func, *c));
         }
-        return MemValue(PointerValue::object(prov, c));
+        return MemValue(PointerValue::object(prov, *c));
       }
 
       case Type::Kind::Array: {

@@ -113,18 +113,121 @@ maskNone(const uint64_t *ws, unsigned lo, unsigned hi)
     return true;
 }
 
-/** Drop every heavy byte of page offsets [lo, hi).  Template so the
- *  private Page type stays private (deduced, never named). */
-template <typename PageT>
+/** Call @p f(i) for every set bit i of [lo, hi), in ascending or
+ *  descending order. */
+template <typename F>
 void
-clearHeavy(PageT &p, unsigned lo, unsigned hi)
+forEachSetBit(const uint64_t *ws, unsigned lo, unsigned hi,
+              bool descending, F &&f)
 {
-    if (maskNone(p.heavy, lo, hi))
+    if (lo >= hi)
         return;
-    auto it = p.heavyBytes.lower_bound(static_cast<uint16_t>(lo));
-    while (it != p.heavyBytes.end() && it->first < hi)
-        it = p.heavyBytes.erase(it);
-    maskClear(p.heavy, lo, hi);
+    unsigned w0 = lo / 64, w1 = (hi - 1) / 64;
+    auto bits = [&](unsigned w) {
+        unsigned a = w == w0 ? lo % 64 : 0;
+        unsigned b = w == w1 ? (hi - 1) % 64 + 1 : 64;
+        return ws[w] & wordMask(a, b);
+    };
+    if (!descending) {
+        for (unsigned w = w0; w <= w1; ++w) {
+            for (uint64_t m = bits(w); m; m &= m - 1)
+                f(w * 64 + static_cast<unsigned>(std::countr_zero(m)));
+        }
+        return;
+    }
+    for (unsigned w = w1 + 1; w-- > w0;) {
+        for (uint64_t m = bits(w); m;) {
+            unsigned top = 63 - static_cast<unsigned>(std::countl_zero(m));
+            f(w * 64 + top);
+            m &= ~(uint64_t(1) << top);
+        }
+    }
+}
+
+/** Bits [lo, lo+k) as the low bits of a word, 1 <= k <= 64. */
+uint64_t
+getBits(const uint64_t *ws, unsigned lo, unsigned k)
+{
+    unsigned w = lo / 64, b = lo % 64;
+    uint64_t v = ws[w] >> b;
+    if (b + k > 64)
+        v |= ws[w + 1] << (64 - b);
+    return k == 64 ? v : v & ((uint64_t(1) << k) - 1);
+}
+
+/** Set bits [lo, lo+k) to the low k bits of @p v, 1 <= k <= 64. */
+void
+putBits(uint64_t *ws, unsigned lo, unsigned k, uint64_t v)
+{
+    unsigned w = lo / 64, b = lo % 64;
+    uint64_t m = k == 64 ? ~uint64_t(0) : (uint64_t(1) << k) - 1;
+    v &= m;
+    ws[w] = (ws[w] & ~(m << b)) | (v << b);
+    if (b + k > 64) {
+        uint64_t m1 = (uint64_t(1) << (b + k - 64)) - 1;
+        ws[w + 1] = (ws[w + 1] & ~m1) | (v >> (64 - b));
+    }
+}
+
+/** Bit-level memmove of @p n bits: overlap-safe when @p dst and
+ *  @p src are the same array (a word is read whole before written,
+ *  and words go in the safe direction). */
+void
+copyBits(uint64_t *dst, unsigned dlo, const uint64_t *src, unsigned slo,
+         unsigned n)
+{
+    if (dst == src && dlo > slo) {
+        for (unsigned i = n; i > 0;) {
+            unsigned k = std::min(i, 64u);
+            i -= k;
+            putBits(dst, dlo + i, k, getBits(src, slo + i, k));
+        }
+    } else {
+        for (unsigned i = 0; i < n;) {
+            unsigned k = std::min(n - i, 64u);
+            putBits(dst, dlo + i, k, getBits(src, slo + i, k));
+            i += k;
+        }
+    }
+}
+
+/**
+ * One heavy-plane entry: a heavy byte's provenance and pointer index
+ * packed in 8 bytes.  Bits 0-1 hold the provenance kind, bits 2-7 the
+ * pointer index plus one (0: no index), bits 8-63 the provenance id.
+ * Consecutive bytes of one capability representation therefore differ
+ * by exactly one index step.
+ */
+constexpr unsigned kIndexShift = 2;
+constexpr unsigned kIdShift = 8;
+constexpr uint64_t kIndexStep = uint64_t(1) << kIndexShift;
+
+uint64_t
+packHeavy(const Provenance &prov, std::optional<uint32_t> index)
+{
+    assert(prov.id >> (64 - kIdShift) == 0 &&
+           "provenance id too wide for the heavy plane");
+    assert((!index || *index < 63) &&
+           "pointer index too wide for the heavy plane");
+    uint64_t e = static_cast<uint64_t>(prov.kind) | prov.id << kIdShift;
+    if (index)
+        e |= uint64_t(*index + 1) << kIndexShift;
+    return e;
+}
+
+Provenance
+heavyProv(uint64_t e)
+{
+    return Provenance{static_cast<Provenance::Kind>(e & 3), e >> kIdShift};
+}
+
+std::optional<uint32_t>
+heavyIndex(uint64_t e)
+{
+    uint32_t i = static_cast<uint32_t>(e >> kIndexShift) & 63;
+    if (i == 0)
+        return std::nullopt;
+    return i - 1;
 }
 
 } // namespace
@@ -303,12 +406,6 @@ PagedStore::PagedStore(unsigned cap_size)
     assert(kPageBytes % cap_size == 0);
 }
 
-void
-PagedStore::clearHeavySpan(Page &p, unsigned lo, unsigned hi)
-{
-    clearHeavy(p, lo, hi);
-}
-
 bool
 PagedStore::invalidateSlotMeta(CapMeta &m, bool ghost)
 {
@@ -360,6 +457,21 @@ PagedStore::touchPage(uint64_t index)
     return ensureUnique(index, it->second);
 }
 
+PagedStore::Page::Page(const Page &other)
+    : meta(other.meta), metaPresent(other.metaPresent)
+{
+    std::memcpy(value, other.value, sizeof(value));
+    std::memcpy(present, other.present, sizeof(present));
+    std::memcpy(heavy, other.heavy, sizeof(heavy));
+    // Only blocks holding a heavy byte carry anything readable.
+    for (unsigned w = 0; w < kMaskWords; ++w) {
+        if (heavy[w]) {
+            std::memcpy(heavyBlock(w), other.heavyBlocks[w].get(),
+                        64 * sizeof(uint64_t));
+        }
+    }
+}
+
 void
 PagedStore::assembleBytes(const Page *p, unsigned off, unsigned n,
                           AbsByte *out)
@@ -370,10 +482,9 @@ PagedStore::assembleBytes(const Page *p, unsigned off, unsigned n,
         if (bitTest(p->present, o))
             b.value = p->value[o];
         if (bitTest(p->heavy, o)) {
-            auto it = p->heavyBytes.find(static_cast<uint16_t>(o));
-            assert(it != p->heavyBytes.end());
-            b.prov = it->second.prov;
-            b.index = it->second.index;
+            uint64_t e = p->heavyBlocks[o / 64][o % 64];
+            b.prov = heavyProv(e);
+            b.index = heavyIndex(e);
         }
         out[j] = b;
     }
@@ -394,13 +505,104 @@ PagedStore::depositBytes(Page &p, unsigned off, unsigned n,
         }
         if (!b.prov.isEmpty() || b.index) {
             bitSet(p.heavy, o);
-            p.heavyBytes[static_cast<uint16_t>(o)] =
-                HeavyInfo{b.prov, b.index};
-        } else if (bitTest(p.heavy, o)) {
+            p.heavyBlock(o / 64)[o % 64] = packHeavy(b.prov, b.index);
+        } else {
             bitClear(p.heavy, o);
-            p.heavyBytes.erase(static_cast<uint16_t>(o));
         }
     }
+}
+
+void
+PagedStore::moveBytes(Page &dp, unsigned doff, const Page *sp,
+                      unsigned soff, unsigned n)
+{
+    if (!sp) {
+        // Absent source page: every byte reads as AbsByte{}.
+        maskClear(dp.present, doff, doff + n);
+        maskClear(dp.heavy, doff, doff + n);
+        return;
+    }
+    // dp and sp may be the same page with overlapping spans: every
+    // step below is a memmove in its own right.
+    std::memmove(dp.value + doff, sp->value + soff, n);
+    copyBits(dp.present, doff, sp->present, soff, n);
+    // Entries move only for heavy source bytes (the only readable
+    // ones), high-to-low when that is the overlap-safe order.
+    forEachSetBit(sp->heavy, soff, soff + n, sp == &dp && doff > soff,
+                  [&](unsigned so) {
+                      unsigned d = doff + (so - soff);
+                      dp.heavyBlock(d / 64)[d % 64] =
+                          sp->heavyBlocks[so / 64][so % 64];
+                  });
+    copyBits(dp.heavy, doff, sp->heavy, soff, n);
+}
+
+void
+PagedStore::readCapRepr(uint64_t addr, unsigned n, uint8_t *raw,
+                        bool *all_present, Provenance *prov,
+                        bool *prov_ok) const
+{
+    assert(n >= 1 && n <= 16);
+    unsigned off = static_cast<unsigned>(addr % kPageBytes);
+    if (off % 64 + n > 64) {
+        // Straddles a plane block (or a page): only an unaligned
+        // representation can.
+        AbstractStore::readCapRepr(addr, n, raw, all_present, prov,
+                                   prov_ok);
+        return;
+    }
+    ++stats_.rangeReads;
+    stats_.bytesRead += n;
+    const Page *p = findPage(addr / kPageBytes);
+    if (!p) {
+        std::memset(raw, 0, n);
+        *all_present = false;
+        *prov = Provenance::empty();
+        *prov_ok = false;
+        return;
+    }
+    std::memcpy(raw, p->value + off, n);
+    *all_present = maskAll(p->present, off, off + n);
+    if (!*all_present) {
+        for (unsigned i = 0; i < n; ++i) {
+            if (!bitTest(p->present, off + i))
+                raw[i] = 0;
+        }
+    }
+    if (!bitTest(p->heavy, off)) {
+        // Byte 0 has no pointer index, so the bytes are no intact
+        // capability representation.
+        *prov = Provenance::empty();
+        *prov_ok = false;
+        return;
+    }
+    const uint64_t *e = p->heavyBlocks[off / 64].get() + off % 64;
+    *prov = heavyProv(e[0]);
+    *prov_ok = heavyIndex(e[0]) == 0u && maskAll(p->heavy, off, off + n);
+    for (unsigned i = 1; *prov_ok && i < n; ++i)
+        *prov_ok = e[i] == e[0] + i * kIndexStep;
+}
+
+void
+PagedStore::writeCapRepr(uint64_t addr, const uint8_t *raw, unsigned n,
+                         const Provenance &prov)
+{
+    assert(n <= 16);
+    unsigned off = static_cast<unsigned>(addr % kPageBytes);
+    if (off % 64 + n > 64) {
+        AbstractStore::writeCapRepr(addr, raw, n, prov);
+        return;
+    }
+    ++stats_.rangeWrites;
+    stats_.bytesWritten += n;
+    Page &p = touchPage(addr / kPageBytes);
+    std::memcpy(p.value + off, raw, n);
+    maskSet(p.present, off, off + n);
+    maskSet(p.heavy, off, off + n);
+    uint64_t *e = p.heavyBlock(off / 64) + off % 64;
+    uint64_t e0 = packHeavy(prov, 0);
+    for (unsigned i = 0; i < n; ++i)
+        e[i] = e0 + i * kIndexStep;
 }
 
 void
@@ -462,11 +664,11 @@ PagedStore::fillRange(uint64_t addr, uint64_t n, const AbsByte &b)
         }
         if (heavy) {
             maskSet(p.heavy, lo, hi);
+            uint64_t e = packHeavy(b.prov, b.index);
             for (unsigned o = lo; o < hi; ++o)
-                p.heavyBytes[static_cast<uint16_t>(o)] =
-                    HeavyInfo{b.prov, b.index};
+                p.heavyBlock(o / 64)[o % 64] = e;
         } else {
-            clearHeavy(p, lo, hi);
+            maskClear(p.heavy, lo, hi);
         }
         i += chunk;
     }
@@ -487,20 +689,13 @@ PagedStore::clearRange(uint64_t addr, uint64_t n)
         if (it != pages_.end()) {
             unsigned lo = static_cast<unsigned>(off);
             unsigned hi = static_cast<unsigned>(off + chunk);
-            if (!maybeShared_ || it->second.use_count() == 1) {
+            const Page *ro = it->second.get();
+            bool unique = !maybeShared_ || it->second.use_count() == 1;
+            if (unique || !maskNone(ro->present, lo, hi) ||
+                !maskNone(ro->heavy, lo, hi)) {
                 Page &p = ensureUnique(it->first, it->second);
                 maskClear(p.present, lo, hi);
-                clearHeavy(p, lo, hi);
-            } else {
-                // Shared page: only clone if the range is not
-                // already clear (leave an untouched page shared).
-                const Page *ro = it->second.get();
-                if (!maskNone(ro->present, lo, hi) ||
-                    !maskNone(ro->heavy, lo, hi)) {
-                    Page &p = ensureUnique(it->first, it->second);
-                    maskClear(p.present, lo, hi);
-                    clearHeavy(p, lo, hi);
-                }
+                maskClear(p.heavy, lo, hi);
             }
         }
         i += chunk;
@@ -512,82 +707,34 @@ PagedStore::copyRange(uint64_t dst, uint64_t src, uint64_t n)
 {
     ++stats_.rangeCopies;
     stats_.bytesCopied += n;
-    bool overlap = src < dst ? dst - src < n : src - dst < n;
-    if (overlap && dst != src) {
-        // Stage through a temporary, as the reference backend does.
-        std::vector<AbsByte> tmp(n);
-        // Not via readBytes/writeBytes: keep the range-op counters
-        // identical across backends for the equivalence test.
-        uint64_t i = 0;
-        while (i < n) {
-            uint64_t a = src + i;
-            uint64_t off = a % kPageBytes;
-            uint64_t chunk = std::min(n - i, kPageBytes - off);
-            if (const Page *p = findPage(a / kPageBytes))
-                assembleBytes(p, static_cast<unsigned>(off),
-                              static_cast<unsigned>(chunk),
-                              tmp.data() + i);
-            i += chunk;
-        }
-        i = 0;
-        while (i < n) {
-            uint64_t a = dst + i;
-            uint64_t off = a % kPageBytes;
-            uint64_t chunk = std::min(n - i, kPageBytes - off);
-            Page &p = touchPage(a / kPageBytes);
-            depositBytes(p, static_cast<unsigned>(off),
-                         static_cast<unsigned>(chunk), tmp.data() + i);
-            i += chunk;
-        }
-        return;
-    }
     if (dst == src)
         return;
-    // Disjoint ranges: page-chunked direct copy, no staging.
-    uint64_t i = 0;
-    while (i < n) {
+    // Page-chunked, no staging: chunks go low-to-high unless dst
+    // overlaps the tail of src, in which case high-to-low, so no chunk
+    // reads a byte an earlier chunk already overwrote (memmove).
+    // moveBytes itself is overlap-safe within a chunk.
+    bool backward = dst > src && dst - src < n;
+    uint64_t i = backward ? n : 0;
+    while (backward ? i > 0 : i < n) {
+        uint64_t chunk;
+        if (backward) {
+            // Bytes left on the pages holding src+i-1 and dst+i-1.
+            chunk = std::min({i, (src + i - 1) % kPageBytes + 1,
+                              (dst + i - 1) % kPageBytes + 1});
+            i -= chunk;
+        } else {
+            chunk = std::min({n - i, kPageBytes - (src + i) % kPageBytes,
+                              kPageBytes - (dst + i) % kPageBytes});
+        }
         uint64_t sa = src + i;
         uint64_t da = dst + i;
-        uint64_t soff = sa % kPageBytes;
-        uint64_t doff = da % kPageBytes;
-        uint64_t chunk = std::min({n - i, kPageBytes - soff,
-                                   kPageBytes - doff});
-        unsigned slo = static_cast<unsigned>(soff);
-        unsigned shi = static_cast<unsigned>(soff + chunk);
-        unsigned dlo = static_cast<unsigned>(doff);
-        unsigned dhi = static_cast<unsigned>(doff + chunk);
         const Page *sp = findPage(sa / kPageBytes);
         Page &dp = touchPage(da / kPageBytes);
-        if (!sp) {
-            // Source page absent: every byte reads as AbsByte{}.
-            maskClear(dp.present, dlo, dhi);
-            clearHeavy(dp, dlo, dhi);
-        } else if (maskNone(sp->heavy, slo, shi)) {
-            // No heavy bytes in the source chunk: bulk-copy the
-            // value plane and mirror the presence bits.
-            std::memcpy(dp.value + dlo, sp->value + slo, chunk);
-            if (maskAll(sp->present, slo, shi)) {
-                maskSet(dp.present, dlo, dhi);
-            } else if (maskNone(sp->present, slo, shi)) {
-                maskClear(dp.present, dlo, dhi);
-            } else {
-                for (unsigned j = 0; j < chunk; ++j) {
-                    if (bitTest(sp->present, slo + j))
-                        bitSet(dp.present, dlo + j);
-                    else
-                        bitClear(dp.present, dlo + j);
-                }
-            }
-            clearHeavy(dp, dlo, dhi);
-        } else {
-            // Heavy bytes present: assemble/deposit byte by byte.
-            for (unsigned j = 0; j < chunk; ++j) {
-                AbsByte b;
-                assembleBytes(sp, slo + j, 1, &b);
-                depositBytes(dp, dlo + j, 1, &b);
-            }
-        }
-        i += chunk;
+        moveBytes(dp, static_cast<unsigned>(da % kPageBytes), sp,
+                  static_cast<unsigned>(sa % kPageBytes),
+                  static_cast<unsigned>(chunk));
+        if (!backward)
+            i += chunk;
     }
 }
 

@@ -15,8 +15,9 @@
  *  - MapStore: the literal `std::map` transcription of B and C.  Kept
  *    as the reference backend / differential oracle: slow (one
  *    red-black-tree lookup per byte) but obviously faithful.
- *  - PagedStore: sparse 4 KiB pages of flat AbsByte / CapMeta arrays
- *    keyed by page index, with a one-entry last-page cache.  This is
+ *  - PagedStore: sparse 4 KiB pages keyed by page index, each a raw
+ *    value plane, presence/heavy bitmasks, a packed provenance plane
+ *    and a CapMeta array, with a one-entry last-page cache.  This is
  *    what every implementation profile runs by default.
  *
  * Invariants every backend must uphold (and the store-equivalence
@@ -38,6 +39,7 @@
 #ifndef CHERISEM_MEM_STORE_H
 #define CHERISEM_MEM_STORE_H
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -71,6 +73,8 @@ struct StoreStats
     /** Capability-metadata primitive invocations. */
     uint64_t capMetaReads = 0;
     uint64_t capMetaWrites = 0;
+
+    bool operator==(const StoreStats &) const = default;
 };
 
 /**
@@ -197,6 +201,50 @@ class AbstractStore
     }
     /// @}
 
+    /// @name Capability-representation primitives.
+    /// What a pointer or (u)intptr_t load/store needs of the n <= 16
+    /// bytes of one capability representation, without materialising
+    /// n AbsBytes.  Counters are exactly those of the readBytes /
+    /// writeBytes call each is defined by.
+    /// @{
+    /**
+     * readBytes(addr, n), summarised: @p raw gets the byte values (0
+     * for an absent byte), @p all_present whether every byte has a
+     * value, @p prov the provenance of byte 0, and @p prov_ok whether
+     * every byte i carries that provenance and pointer index i (the
+     * bytes are an intact capability representation, PNVI).
+     */
+    virtual void readCapRepr(uint64_t addr, unsigned n, uint8_t *raw,
+                             bool *all_present, Provenance *prov,
+                             bool *prov_ok) const
+    {
+        assert(n >= 1 && n <= 16);
+        AbsByte bs[16];
+        readBytes(addr, n, bs);
+        *all_present = true;
+        *prov = bs[0].prov;
+        *prov_ok = true;
+        for (unsigned i = 0; i < n; ++i) {
+            raw[i] = bs[i].value.value_or(0);
+            if (!bs[i].value)
+                *all_present = false;
+            if (!(bs[i].prov == *prov) || bs[i].index != i)
+                *prov_ok = false;
+        }
+    }
+    /** writeBytes of AbsByte{prov, raw[i], i} for i < @p n (n <= 16):
+     *  a capability representation store. */
+    virtual void writeCapRepr(uint64_t addr, const uint8_t *raw,
+                              unsigned n, const Provenance &prov)
+    {
+        assert(n <= 16);
+        AbsByte bs[16];
+        for (unsigned i = 0; i < n; ++i)
+            bs[i] = AbsByte{prov, raw[i], i};
+        writeBytes(addr, bs, n);
+    }
+    /// @}
+
     /// @name Snapshot / restore.
     /// @{
     /** Capture the full (B, C) contents plus counters.  PagedStore is
@@ -284,12 +332,20 @@ class MapStore final : public AbstractStore
  *
  * Pages store the abstract bytes struct-of-arrays: a raw value plane,
  * a presence bitmask (value recorded), and a *heavy* bitmask marking
- * the rare bytes that carry provenance or a pointer index, whose
- * out-of-band parts live in a sparse per-page map.  A clean byte
- * (present and not heavy) is exactly the AbsByte{empty, v, nullopt}
- * every plain integer/float store produces, so the scalar fast path
- * is a word-mask test plus a memcpy against the value plane, and bulk
- * fill/copy of plain data moves raw bytes, not 32-byte structs.
+ * the bytes that carry provenance or a pointer index, whose
+ * out-of-band parts live in a flat heavy plane of packed 8-byte
+ * entries (see packHeavy in store.cc).  A clean byte (present and not
+ * heavy) is exactly the AbsByte{empty, v, nullopt} every plain
+ * integer/float store produces, so the scalar fast path is a
+ * word-mask test plus a memcpy against the value plane, and bulk
+ * fill/copy moves planes and mask bits, not 32-byte structs.
+ *
+ * A plane entry (like a value byte) is meaningful only under its set
+ * mask bit: clearing a bit is the whole of a clear, and whatever the
+ * plane still holds there is never read.  The heavy plane comes in
+ * blocks of 64 entries, one per mask word, each allocated
+ * uninitialised on the first heavy byte it covers, so a page pays for
+ * the plane only where it holds pointer bytes.
  *
  * Pages are refcounted and immutable-when-shared: snapshot() copies
  * the page table (refcount bumps only), and every mutating primitive
@@ -370,15 +426,14 @@ class PagedStore final : public AbstractStore
         if (b + n <= 64) {
             uint64_t m = spanMask(b, n);
             p.present[w] |= m;
-            if (p.heavy[w] & m)
-                clearHeavySpan(p, off, off + n);
+            p.heavy[w] &= ~m;
         } else {
             uint64_t m0 = ~uint64_t(0) << b;
             uint64_t m1 = spanMask(0, b + n - 64);
             p.present[w] |= m0;
             p.present[w + 1] |= m1;
-            if ((p.heavy[w] & m0) || (p.heavy[w + 1] & m1))
-                clearHeavySpan(p, off, off + n);
+            p.heavy[w] &= ~m0;
+            p.heavy[w + 1] &= ~m1;
         }
         std::memcpy(p.value + off, src, n);
         ++stats_.rangeWrites;
@@ -399,6 +454,12 @@ class PagedStore final : public AbstractStore
         }
         return count;
     }
+
+    void readCapRepr(uint64_t addr, unsigned n, uint8_t *raw,
+                     bool *all_present, Provenance *prov,
+                     bool *prov_ok) const override;
+    void writeCapRepr(uint64_t addr, const uint8_t *raw, unsigned n,
+                      const Provenance &prov) override;
 
     void readBytes(uint64_t addr, uint64_t n,
                    AbsByte *out) const override;
@@ -429,23 +490,32 @@ class PagedStore final : public AbstractStore
     uint64_t sharedPages() const;
 
   private:
-    /** Out-of-band part of a heavy byte (provenance / pointer index). */
-    struct HeavyInfo
-    {
-        Provenance prov;
-        std::optional<uint32_t> index;
-    };
-
     struct Page
     {
         explicit Page(unsigned slots)
             : meta(slots), metaPresent(slots, 0)
         {
         }
+        /** COW clone: copies the heavy blocks that hold a heavy byte. */
+        Page(const Page &other);
+        Page &operator=(const Page &) = delete;
+
+        /** The plane entries of mask word @p w's 64 bytes, allocated
+         *  (uninitialised) on first use. */
+        uint64_t *
+        heavyBlock(unsigned w)
+        {
+            if (!heavyBlocks[w])
+                heavyBlocks[w] = std::make_unique_for_overwrite<uint64_t[]>(64);
+            return heavyBlocks[w].get();
+        }
+
         uint8_t value[kPageBytes];        // raw byte plane (masked)
         uint64_t present[kMaskWords] = {}; // bit per byte: value recorded
         uint64_t heavy[kMaskWords] = {};   // bit per byte: prov or index
-        std::map<uint16_t, HeavyInfo> heavyBytes; // keyed by page offset
+        // Packed provenance + pointer index per byte (masked by heavy),
+        // in blocks of 64 bytes: a set heavy bit implies its block.
+        std::unique_ptr<uint64_t[]> heavyBlocks[kMaskWords];
         std::vector<CapMeta> meta;        // one per cap slot
         std::vector<uint8_t> metaPresent;
     };
@@ -469,8 +539,6 @@ class PagedStore final : public AbstractStore
     /** COW-clone @p entry if shared; refreshes the cache.  The
      *  returned reference is uniquely owned. */
     Page &ensureUnique(uint64_t index, std::shared_ptr<Page> &entry);
-    /** Drop the heavy out-of-band entries of [lo, hi) (rare). */
-    void clearHeavySpan(Page &p, unsigned lo, unsigned hi);
     /** The section 3.5 representation-write transition on one
      *  recorded slot; true when the slot actually changed. */
     static bool invalidateSlotMeta(CapMeta &m, bool ghost);
@@ -480,6 +548,11 @@ class PagedStore final : public AbstractStore
                               AbsByte *out);
     static void depositBytes(Page &p, unsigned off, unsigned n,
                              const AbsByte *src);
+    /** memmove @p n abstract bytes from page offset @p soff of @p sp
+     *  (nullptr: an absent page, all uninitialised) to @p doff of
+     *  @p dp, planes and mask bits alike (no counters). */
+    static void moveBytes(Page &dp, unsigned doff, const Page *sp,
+                          unsigned soff, unsigned n);
 
     unsigned slotsPerPage_;
     unsigned capShift_; // log2(capSize_); granule sizes are powers of 2
