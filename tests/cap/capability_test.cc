@@ -8,6 +8,7 @@
 
 #include <random>
 
+#include "arch_param.h"
 #include "cap/cap_format.h"
 #include "cap/cc64.h"
 #include "cap/cc128.h"

@@ -24,6 +24,7 @@
 #include <map>
 #include <vector>
 
+#include "../cap/arch_param.h"
 #include "cap/cc128.h"
 #include "cap/cc64.h"
 #include "mem/memory_model.h"
