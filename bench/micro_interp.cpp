@@ -7,25 +7,29 @@
  * Like micro_memory, a fixed harness runs first and writes
  * BENCH_interp.json (same format: a "results" array of ns_per_op
  * entries plus summary ratios) — here the grid is workload x
- * profile, and the summaries are the witness-tracing overhead ratio
- * (traced-into-a-ring vs untraced), which the obs/ subsystem promises
- * stays under 5% when disabled, and the bytecode-vs-tree evaluation
- * speedup (compile once, evaluate many: the fair engine comparison,
- * since the bytecode compiler runs once per program while the tree
- * walker re-dispatches on the AST every step).  Pass --no-json to
- * skip it.
+ * profile, plus:
+ *
+ *  - the witness-tracing overhead ratio (traced-into-a-ring vs
+ *    untraced);
+ *  - "deep_global": a 20k-iteration global-increment loop run at
+ *    call depth 1, 100 and 400, evaluation only.  Sema resolves every
+ *    identifier to a frame slot or a global index, so reaching a
+ *    global costs the same at any depth; the summary ratio
+ *    deep_global_ratio_400_vs_1 (eval at depth 400 / eval at depth 1,
+ *    taken within one run) is what CI gates.
+ *
+ * Pass --no-json to skip it.
  */
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "corelang/bytecode.h"
 #include "corelang/machine.h"
-#include "corelang/vm.h"
 #include "driver/interpreter.h"
 #include "frontend/parser.h"
 #include "obs/sinks.h"
@@ -124,8 +128,24 @@ struct Workload
     const char *src;
 };
 
+/** A global incremented 20k times at call depth DEPTH: every access
+ *  of `g` happens DEPTH frames below main(). */
+std::string
+deepGlobalSource(int depth)
+{
+    return R"(
+int g;
+int work(int d) {
+    if (d > 1) return work(d - 1);
+    for (int i = 0; i < 20000; i++) g = g + 1;
+    return g & 0xff;
+}
+int main(void) { return work()" +
+        std::to_string(depth) + "); }\n";
+}
+
 // ---------------------------------------------------------------------
-// Engine comparison: evaluation-only, compile once / run many.
+// Evaluation only: compile once / run many.
 // ---------------------------------------------------------------------
 
 namespace corelang = cherisem::corelang;
@@ -145,26 +165,16 @@ analyzeOnce(const char *src, const Profile &profile)
     return prog;
 }
 
-/** Minimum evaluation-only ns over repeated runs of one engine
- *  (minimum, not mean: the noise floor on a shared machine is
- *  one-sided).  @p module selects the bytecode VM; null runs the
- *  tree walker. */
+/** Minimum evaluation-only ns over repeated runs (minimum, not
+ *  mean: the noise floor on a shared machine is one-sided). */
 double
 evalOnlyNs(const cherisem::sema::Program &prog,
-           const corelang::EvalOptions &opts,
-           const corelang::BytecodeModule *module,
-           int max_iters = 200)
+           const corelang::EvalOptions &opts, int max_iters = 200)
 {
     using clock = std::chrono::steady_clock;
     auto once = [&] {
-        corelang::Outcome o;
-        if (module) {
-            corelang::Vm vm(prog, opts, module);
-            o = vm.run();
-        } else {
-            corelang::Machine machine(prog, opts);
-            o = machine.run();
-        }
+        corelang::Machine machine(prog, opts);
+        corelang::Outcome o = machine.run();
         benchmark::DoNotOptimize(o.exitCode);
     };
     once(); // warm-up
@@ -214,15 +224,8 @@ writeBenchJson(const char *path)
         std::string workload, profile;
         double nsPerRun;
     };
-    struct EngineEntry
-    {
-        std::string workload;
-        double treeNs, bytecodeNs;
-    };
     std::vector<Entry> entries;
-    std::vector<EngineEntry> engineEntries;
     double untraced_total = 0, traced_total = 0;
-    double tree_total = 0, bytecode_total = 0;
 
     for (const Workload &w : workloads) {
         for (const char *name : profiles) {
@@ -235,24 +238,36 @@ writeBenchJson(const char *path)
         untraced_total += timeRun(w.src, ref);
         cherisem::obs::RingBufferSink ring;
         traced_total += timeRun(w.src, ref, &ring);
-
-        // Engine comparison, evaluation-only: one frontend pass and
-        // one bytecode compile, then repeated evaluations.
-        cherisem::sema::Program prog = analyzeOnce(w.src, ref);
-        corelang::EvalOptions opts = ref.evalOptions();
-        corelang::BytecodeModule module =
-            corelang::compileProgram(prog);
-        double tree_ns = evalOnlyNs(prog, opts, nullptr);
-        double bytecode_ns = evalOnlyNs(prog, opts, &module);
-        engineEntries.push_back({w.name, tree_ns, bytecode_ns});
-        tree_total += tree_ns;
-        bytecode_total += bytecode_ns;
     }
-
     double ratio =
         untraced_total > 0 ? traced_total / untraced_total : 0;
-    double engine_speedup =
-        bytecode_total > 0 ? tree_total / bytecode_total : 0;
+
+    // Depth flatness: the same global-increment loop, evaluation
+    // only, at increasing call depth.
+    struct DepthEntry
+    {
+        int depth;
+        double evalNs;
+        uint64_t steps;
+    };
+    std::vector<DepthEntry> depthEntries;
+    for (int depth : {1, 100, 400}) {
+        const Profile &ref = referenceProfile();
+        std::string src = deepGlobalSource(depth);
+        cherisem::sema::Program prog = analyzeOnce(src.c_str(), ref);
+        corelang::EvalOptions opts = ref.evalOptions();
+        corelang::Machine check(prog, opts);
+        corelang::Outcome o = check.run();
+        if (o.kind != corelang::Outcome::Kind::Exit) {
+            std::fprintf(stderr, "deep_global depth %d: %s\n", depth,
+                         o.summary().c_str());
+            std::exit(1);
+        }
+        depthEntries.push_back(
+            {depth, evalOnlyNs(prog, opts, 50), o.steps});
+    }
+    double depth_ratio = depthEntries.back().evalNs /
+                         depthEntries.front().evalNs;
 
     FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -268,26 +283,24 @@ writeBenchJson(const char *path)
                      e.workload.c_str(), e.profile.c_str(), e.nsPerRun,
                      i + 1 < entries.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"engine_results\": [\n");
-    for (size_t i = 0; i < engineEntries.size(); ++i) {
-        const EngineEntry &e = engineEntries[i];
-        std::fprintf(
-            f,
-            "    {\"workload\": \"%s\", \"eval_ns_tree\": %.1f, "
-            "\"eval_ns_bytecode\": %.1f, \"speedup\": %.2f}%s\n",
-            e.workload.c_str(), e.treeNs, e.bytecodeNs,
-            e.bytecodeNs > 0 ? e.treeNs / e.bytecodeNs : 0,
-            i + 1 < engineEntries.size() ? "," : "");
+    std::fprintf(f, "  ],\n  \"deep_global\": [\n");
+    for (size_t i = 0; i < depthEntries.size(); ++i) {
+        const DepthEntry &e = depthEntries[i];
+        std::fprintf(f,
+                     "    {\"depth\": %d, \"eval_ns\": %.1f, "
+                     "\"steps\": %llu}%s\n",
+                     e.depth, e.evalNs, (unsigned long long)e.steps,
+                     i + 1 < depthEntries.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"tracing_overhead_ratio_ring_vs_off\": "
-                 "%.3f,\n  \"bytecode_speedup_vs_tree\": %.2f\n}\n",
-                 ratio, engine_speedup);
+                 "  ],\n  \"deep_global_ratio_400_vs_1\": %.3f,\n"
+                 "  \"tracing_overhead_ratio_ring_vs_off\": %.3f\n}\n",
+                 depth_ratio, ratio);
     std::fclose(f);
     std::fprintf(stderr,
                  "BENCH_interp.json written: ring-traced vs untraced "
-                 "= %.3fx, bytecode vs tree = %.2fx\n",
-                 ratio, engine_speedup);
+                 "= %.3fx, deep_global depth 400 vs 1 = %.3fx\n",
+                 ratio, depth_ratio);
 }
 
 // ---------------------------------------------------------------------
@@ -296,11 +309,9 @@ writeBenchJson(const char *path)
 
 void
 runBench(benchmark::State &state, const char *src,
-         const std::string &profile,
-         corelang::Engine engine = corelang::Engine::Tree)
+         const std::string &profile)
 {
-    Profile p = *findProfile(profile);
-    p.engine = engine;
+    const Profile &p = *findProfile(profile);
     for (auto _ : state) {
         RunResult r = runSource(src, p);
         if (r.frontendError ||
@@ -325,22 +336,6 @@ BM_Interp_ArithLoop_Hardware(benchmark::State &state)
     runBench(state, ARITH_LOOP, "clang-morello-O0");
 }
 BENCHMARK(BM_Interp_ArithLoop_Hardware);
-
-void
-BM_Interp_ArithLoop_Bytecode(benchmark::State &state)
-{
-    runBench(state, ARITH_LOOP, "cerberus",
-             corelang::Engine::Bytecode);
-}
-BENCHMARK(BM_Interp_ArithLoop_Bytecode);
-
-void
-BM_Interp_PointerChase_Bytecode(benchmark::State &state)
-{
-    runBench(state, POINTER_CHASE, "cerberus",
-             corelang::Engine::Bytecode);
-}
-BENCHMARK(BM_Interp_PointerChase_Bytecode);
 
 void
 BM_Interp_PointerChase_Reference(benchmark::State &state)

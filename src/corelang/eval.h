@@ -24,23 +24,6 @@
 
 namespace cherisem::corelang {
 
-/** Which execution engine runs the program.  Both produce
- *  bit-identical outcomes and witness streams (the bytecode VM
- *  shares every semantic rule with the tree walker — see
- *  machine.h); Tree is the reference oracle, Bytecode the fast
- *  path. */
-enum class Engine
-{
-    Tree,     ///< reference tree-walking interpreter
-    Bytecode, ///< compile-once bytecode VM
-};
-
-/** Parse an engine name ("tree" / "bytecode"); returns false on an
- *  unknown name. */
-bool parseEngine(const std::string &name, Engine *out);
-/** The engine's canonical name. */
-const char *engineName(Engine e);
-
 /** Options controlling a single abstract-machine run. */
 struct EvalOptions
 {
@@ -52,8 +35,6 @@ struct EvalOptions
     bool printProvenance = true;
     /** Abort runaway programs after this many evaluation steps. */
     uint64_t maxSteps = 20'000'000;
-    /** Execution engine (identical observable semantics). */
-    Engine engine = Engine::Tree;
     /** Cooperative cancellation: when non-null, polled every few
      *  thousand steps; a true load ends the run cleanly with
      *  Outcome::Kind::ResourceExhausted (the serving layer's

@@ -25,8 +25,9 @@ struct PhaseTimings
     uint64_t parseNs = 0;
     uint64_t semaNs = 0;
     uint64_t optimizeNs = 0;
-    /** Bytecode compilation (serving-layer front half; zero for
-     *  tree-engine runs that never compile). */
+    /** Always zero: nothing is compiled after optimize any more.
+     *  Kept so the serve response's "compile" phase and the tools
+     *  that read it keep their schema. */
     uint64_t compileNs = 0;
     uint64_t evalNs = 0;
 

@@ -4,7 +4,7 @@
  *
  * A Server owns the three concurrency pieces — FrontCache,
  * WorkerPool, Metrics — and turns protocol Requests into Responses.
- * Every run executes on a worker with its own Machine/Vm and
+ * Every run executes on a worker with its own Machine and
  * MemoryModel over the shared immutable CompiledProgram, under the
  * server's step budget, per-request wall-clock deadline, and the
  * server-wide cancel flag; a hostile program therefore costs at
