@@ -48,6 +48,19 @@ enum class BinOp
  *  (section 3.7). */
 enum class DerivSource { Left, Right, None };
 
+/** What an identifier denotes, resolved by sema against the lexical
+ *  scopes (ISO C scoping: the innermost visible declaration), so the
+ *  evaluator never looks a name up at run time. */
+enum class NameKind : uint8_t
+{
+    /** Not an object or function: an enumerator, a builtin call
+     *  target, or an object declared only `extern` (never defined). */
+    Unresolved,
+    Local,    ///< frame slot `nameIndex` of the enclosing function
+    Global,   ///< index into sema::Program::globals
+    Function, ///< index into TranslationUnit::functions
+};
+
 struct Expr
 {
     enum class Kind
@@ -104,6 +117,9 @@ struct Expr
     __int128 enumValue = 0;
     /** Resolved builtin/intrinsic call (Call with Ident callee). */
     int builtinId = -1;
+    /** Ident: what the name denotes and its slot / table index. */
+    NameKind nameKind = NameKind::Unresolved;
+    uint32_t nameIndex = 0;
 
     static ExprPtr
     make(Kind k, SourceLoc loc)
@@ -134,6 +150,11 @@ struct VarDecl
     bool isStatic = false;
     bool isExtern = false;
     SourceLoc loc;
+    /** Filled by sema: the frame slot of a local (static locals
+     *  included), or the index into sema::Program::globals of a
+     *  global (kNoObject when its name is never defined). */
+    uint32_t slot = 0;
+    static constexpr uint32_t kNoObject = UINT32_MAX;
 };
 
 struct Stmt
@@ -170,6 +191,11 @@ struct Stmt
     // (constant expressions), plus the default marker.
     std::vector<ExprPtr> caseExprs;
     bool isDefault = false;
+    /** Filled by sema for Block and For: the frame slots
+     *  [slotBegin, slotEnd) declared inside this scope, nested scopes
+     *  included (cleared when the scope exits). */
+    uint32_t slotBegin = 0;
+    uint32_t slotEnd = 0;
 
     static StmtPtr
     make(Kind k, SourceLoc loc)
@@ -188,6 +214,9 @@ struct FunctionDef
     std::vector<std::string> paramNames;
     StmtPtr body;        ///< null for a prototype
     SourceLoc loc;
+    /** Filled by sema: frame slots a call needs (parameter i is slot
+     *  i; every local declarator of the body gets the next one). */
+    uint32_t frameSize = 0;
 };
 
 /** A parsed translation unit. */

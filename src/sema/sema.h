@@ -16,6 +16,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "ctype/layout.h"
 #include "frontend/ast.h"
@@ -30,12 +31,27 @@ struct SemaError
     std::string str() const { return loc.str() + ": " + message; }
 };
 
-/** The fully analysed program handed to the evaluator. */
+/** One file-scope object: every defining declaration of a name
+ *  (anything but a bare `extern`) shares it. */
+struct Global
+{
+    std::string name;
+    /** The type of the name's last defining declaration. */
+    ctype::TypeRef type;
+};
+
+/** The fully analysed program handed to the evaluator.  Every Ident
+ *  is resolved (Expr::nameKind / nameIndex), so the evaluator needs
+ *  no name lookup; the by-name maps serve entry points and tools. */
 struct Program
 {
     frontend::TranslationUnit unit;
     /** name -> index into unit.functions (bodies only). */
     std::map<std::string, uint32_t> functionIndex;
+    /** File-scope objects, in order of first definition. */
+    std::vector<Global> globals;
+    /** name -> index into globals. */
+    std::map<std::string, uint32_t> globalIndex;
     ctype::MachineLayout machine;
 };
 

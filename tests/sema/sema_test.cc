@@ -36,6 +36,61 @@ declInit(const Program &p, size_t stmt_idx)
     return *s.decls[0].init.expr;
 }
 
+/** Strip the implicit conversions sema wraps around @p e. */
+const Expr &
+unwrapCasts(const Expr &e)
+{
+    const Expr *x = &e;
+    while (x->kind == Expr::Kind::Cast && x->implicitCast)
+        x = x->lhs.get();
+    return *x;
+}
+
+TEST(Sema, ResolvesIdentifiersLexically)
+{
+    Program p = analyzeSrc(R"(
+int g;
+int g = 4;
+extern int only_declared;
+int f(int a, int b) { return a; }
+int main(void) {
+    int g2 = g;
+    {
+        int g = 1;
+        int h = g;
+    }
+    int k = f(1, 2);
+    return k;
+}
+)");
+    // One object for g's two definitions; bare extern gets none.
+    ASSERT_EQ(p.globals.size(), 1u);
+    EXPECT_EQ(p.globalIndex.at("g"), 0u);
+    EXPECT_EQ(p.unit.globals[0].slot, 0u);
+    EXPECT_EQ(p.unit.globals[1].slot, 0u);
+    EXPECT_EQ(p.unit.globals[2].slot, frontend::VarDecl::kNoObject);
+
+    const auto &f = p.unit.functions[p.functionIndex.at("f")];
+    EXPECT_EQ(f.frameSize, 2u); // a, b
+    const Expr &ret = unwrapCasts(*f.body->body[0]->expr);
+    EXPECT_EQ(ret.nameKind, frontend::NameKind::Local);
+    EXPECT_EQ(ret.nameIndex, 0u);
+
+    const auto &m = p.unit.functions[p.functionIndex.at("main")];
+    EXPECT_EQ(m.frameSize, 4u); // g2, g (block), h, k
+    const Expr &outer = unwrapCasts(*m.body->body[0]->decls[0].init.expr);
+    EXPECT_EQ(outer.nameKind, frontend::NameKind::Global);
+    const Stmt &block = *m.body->body[1];
+    EXPECT_EQ(block.slotBegin, 1u);
+    EXPECT_EQ(block.slotEnd, 3u);
+    const Expr &inner = unwrapCasts(*block.body[1]->decls[0].init.expr);
+    EXPECT_EQ(inner.nameKind, frontend::NameKind::Local);
+    EXPECT_EQ(inner.nameIndex, block.body[0]->decls[0].slot);
+    const Expr &call = unwrapCasts(*m.body->body[2]->decls[0].init.expr);
+    EXPECT_EQ(call.lhs->nameKind, frontend::NameKind::Function);
+    EXPECT_EQ(call.lhs->nameIndex, p.functionIndex.at("f"));
+}
+
 TEST(Sema, IntptrOutranksEverything)
 {
     Program p = analyzeSrc(R"(
