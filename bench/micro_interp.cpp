@@ -5,9 +5,9 @@
  * including the optimisation-pass ablation.
  *
  * Like micro_memory, a fixed harness runs first and writes
- * BENCH_interp.json (same format: a "results" array of ns_per_op
- * entries plus summary ratios) — here the grid is workload x
- * profile, plus:
+ * BENCH_interp.json (a "results" array plus summary ratios) — here
+ * the grid is workload x profile, each cell the minimum ns of one
+ * whole runSource(), plus:
  *
  *  - the witness-tracing overhead ratio (traced-into-a-ring vs
  *    untraced);
@@ -16,7 +16,17 @@
  *    identifier to a frame slot or a global index, so reaching a
  *    global costs the same at any depth; the summary ratio
  *    deep_global_ratio_400_vs_1 (eval at depth 400 / eval at depth 1,
- *    taken within one run) is what CI gates.
+ *    taken within one run) is what CI gates;
+ *  - "dead_allocs": a 4000-iteration `p = &v; t += *p;` loop run
+ *    after 0 and after 16k calls of a one-local function, i.e. after
+ *    that many dead allocations, on cerberus and clang-morello-O0.
+ *    The loop is timed alone: eval of the program minus eval of the
+ *    same program with a zero-trip loop.  Dead allocations are out of
+ *    the live address index, so the loop costs the same either way;
+ *    each profile's ratio_16k_vs_0 (taken within one run) is what CI
+ *    gates.
+ *
+ * Every figure is a minimum over repeated runs (minTimesNs).
  *
  * Pass --no-json to skip it.
  */
@@ -25,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -99,27 +110,35 @@ int main(void) {
 // BENCH_interp.json: fixed workload x profile grid.
 // ---------------------------------------------------------------------
 
-/** Wall-clock ns/op of @p op, warmed up and run until ~0.3 s or
- *  @p max_iters, whichever comes first. */
-template <typename F>
-double
-nsPerOp(F &&op, int max_iters = 64)
+/** Minimum wall-clock ns of each of @p ops.  After one warm-up each,
+ *  the ops run interleaved, one round at a time, until @p max_rounds
+ *  or ~0.3 s per op, so drift on a shared machine hits them alike.
+ *  Minimum, not mean: the noise floor on a shared machine is
+ *  one-sided. */
+std::vector<double>
+minTimesNs(const std::vector<std::function<void()>> &ops, int max_rounds)
 {
     using clock = std::chrono::steady_clock;
-    op(); // warm-up
-    double total_ns = 0;
-    int iters = 0;
-    while (iters < max_iters && total_ns < 3e8) {
-        auto t0 = clock::now();
-        op();
-        auto t1 = clock::now();
-        total_ns += static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 -
-                                                                 t0)
-                .count());
-        ++iters;
+    for (const auto &op : ops)
+        op(); // warm-up
+    std::vector<double> best(ops.size(), 1e18);
+    double total = 0;
+    for (int round = 0;
+         round < max_rounds && total < 3e8 * static_cast<double>(ops.size());
+         ++round) {
+        for (size_t i = 0; i < ops.size(); ++i) {
+            auto t0 = clock::now();
+            ops[i]();
+            auto t1 = clock::now();
+            double ns = static_cast<double>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t1 - t0)
+                    .count());
+            best[i] = ns < best[i] ? ns : best[i];
+            total += ns;
+        }
     }
-    return total_ns / iters;
+    return best;
 }
 
 struct Workload
@@ -144,6 +163,29 @@ int main(void) { return work()" +
         std::to_string(depth) + "); }\n";
 }
 
+/** TRIPS iterations of a pointer loop, run after CALLS calls of a
+ *  one-local function (CALLS dead allocations). */
+std::string
+deadAllocsSource(int calls, int trips)
+{
+    return R"(
+int one(void) { int x = 1; return x; }
+int loop(void) {
+    int v = 3;
+    int *p;
+    int t = 0;
+    for (int i = 0; i < )" +
+        std::to_string(trips) + R"(; i++) { p = &v; t += *p; }
+    return t;
+}
+int main(void) {
+    for (int i = 0; i < )" +
+        std::to_string(calls) + R"(; i++) one();
+    return loop() & 0xff;
+}
+)";
+}
+
 // ---------------------------------------------------------------------
 // Evaluation only: compile once / run many.
 // ---------------------------------------------------------------------
@@ -165,34 +207,28 @@ analyzeOnce(const char *src, const Profile &profile)
     return prog;
 }
 
-/** Minimum evaluation-only ns over repeated runs (minimum, not
- *  mean: the noise floor on a shared machine is one-sided). */
-double
-evalOnlyNs(const cherisem::sema::Program &prog,
-           const corelang::EvalOptions &opts, int max_iters = 200)
+/** One op = one evaluation of the analysed @p prog, which must run
+ *  to exit (@p what names it in the error); @p steps gets its step
+ *  count. */
+std::function<void()>
+evalOp(const cherisem::sema::Program &prog,
+       const corelang::EvalOptions &opts, const std::string &what,
+       uint64_t *steps = nullptr)
 {
-    using clock = std::chrono::steady_clock;
-    auto once = [&] {
+    corelang::Machine check(prog, opts);
+    corelang::Outcome o = check.run();
+    if (o.kind != corelang::Outcome::Kind::Exit) {
+        std::fprintf(stderr, "%s: %s\n", what.c_str(),
+                     o.summary().c_str());
+        std::exit(1);
+    }
+    if (steps)
+        *steps = o.steps;
+    return [&prog, opts] {
         corelang::Machine machine(prog, opts);
         corelang::Outcome o = machine.run();
         benchmark::DoNotOptimize(o.exitCode);
     };
-    once(); // warm-up
-    double best = 1e18, total = 0;
-    int iters = 0;
-    while (iters < max_iters && total < 3e8) {
-        auto t0 = clock::now();
-        once();
-        auto t1 = clock::now();
-        double ns = static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 -
-                                                                 t0)
-                .count());
-        best = ns < best ? ns : best;
-        total += ns;
-        ++iters;
-    }
-    return best;
 }
 
 /** One op = one whole runSource() (parse..evaluate). */
@@ -202,10 +238,11 @@ timeRun(const char *src, const Profile &profile,
 {
     Profile p = profile;
     p.memConfig.traceSink = sink;
-    return nsPerOp([&] {
-        RunResult r = runSource(src, p);
-        benchmark::DoNotOptimize(r.outcome.exitCode);
-    });
+    return minTimesNs({[&] {
+                          RunResult r = runSource(src, p);
+                          benchmark::DoNotOptimize(r.outcome.exitCode);
+                      }},
+                      64)[0];
 }
 
 void
@@ -256,18 +293,43 @@ writeBenchJson(const char *path)
         std::string src = deepGlobalSource(depth);
         cherisem::sema::Program prog = analyzeOnce(src.c_str(), ref);
         corelang::EvalOptions opts = ref.evalOptions();
-        corelang::Machine check(prog, opts);
-        corelang::Outcome o = check.run();
-        if (o.kind != corelang::Outcome::Kind::Exit) {
-            std::fprintf(stderr, "deep_global depth %d: %s\n", depth,
-                         o.summary().c_str());
-            std::exit(1);
-        }
-        depthEntries.push_back(
-            {depth, evalOnlyNs(prog, opts, 50), o.steps});
+        uint64_t steps = 0;
+        std::function<void()> op =
+            evalOp(prog, opts,
+                   "deep_global depth " + std::to_string(depth), &steps);
+        depthEntries.push_back({depth, minTimesNs({op}, 50)[0], steps});
     }
     double depth_ratio = depthEntries.back().evalNs /
                          depthEntries.front().evalNs;
+
+    // History flatness: the pointer loop after 0 and 16k dead
+    // allocations, each minus its zero-trip control, all four
+    // programs timed interleaved.
+    struct DeadEntry
+    {
+        std::string profile;
+        double loopNs[2]; // after 0, after 16k dead allocations
+        double ratio;
+    };
+    std::vector<DeadEntry> deadEntries;
+    for (const char *name : {"cerberus", "clang-morello-O0"}) {
+        const Profile &p = *findProfile(name);
+        corelang::EvalOptions opts = p.evalOptions();
+        std::vector<cherisem::sema::Program> progs;
+        for (int calls : {0, 16000}) {
+            for (int trips : {4000, 0}) {
+                progs.push_back(analyzeOnce(
+                    deadAllocsSource(calls, trips).c_str(), p));
+            }
+        }
+        std::vector<std::function<void()>> ops;
+        for (const cherisem::sema::Program &prog : progs)
+            ops.push_back(evalOp(prog, opts, "dead_allocs"));
+        std::vector<double> ns = minTimesNs(ops, 40);
+        DeadEntry e{name, {ns[0] - ns[1], ns[2] - ns[3]}, 0};
+        e.ratio = e.loopNs[1] / e.loopNs[0];
+        deadEntries.push_back(e);
+    }
 
     FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -292,6 +354,16 @@ writeBenchJson(const char *path)
                      e.depth, e.evalNs, (unsigned long long)e.steps,
                      i + 1 < depthEntries.size() ? "," : "");
     }
+    std::fprintf(f, "  ],\n  \"dead_allocs\": [\n");
+    for (size_t i = 0; i < deadEntries.size(); ++i) {
+        const DeadEntry &e = deadEntries[i];
+        std::fprintf(f,
+                     "    {\"profile\": \"%s\", \"loop_ns_after_0\": %.1f, "
+                     "\"loop_ns_after_16k\": %.1f, "
+                     "\"ratio_16k_vs_0\": %.3f}%s\n",
+                     e.profile.c_str(), e.loopNs[0], e.loopNs[1],
+                     e.ratio, i + 1 < deadEntries.size() ? "," : "");
+    }
     std::fprintf(f,
                  "  ],\n  \"deep_global_ratio_400_vs_1\": %.3f,\n"
                  "  \"tracing_overhead_ratio_ring_vs_off\": %.3f\n}\n",
@@ -299,8 +371,13 @@ writeBenchJson(const char *path)
     std::fclose(f);
     std::fprintf(stderr,
                  "BENCH_interp.json written: ring-traced vs untraced "
-                 "= %.3fx, deep_global depth 400 vs 1 = %.3fx\n",
+                 "= %.3fx, deep_global depth 400 vs 1 = %.3fx",
                  ratio, depth_ratio);
+    for (const DeadEntry &e : deadEntries) {
+        std::fprintf(stderr, ", dead_allocs 16k vs 0 on %s = %.3fx",
+                     e.profile.c_str(), e.ratio);
+    }
+    std::fprintf(stderr, "\n");
 }
 
 // ---------------------------------------------------------------------

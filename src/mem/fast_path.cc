@@ -23,11 +23,12 @@
  *                          resolve an iota, so skipping it leaves the
  *                          iota table untouched.
  *
- * In hardware mode (checkProvenance off) resolveForAccess() scans for
- * *some* live allocation containing the footprint; live allocations
- * never overlap, so when the pointer's own allocation is live and
- * contains the footprint it is the unique allocation that scan would
- * find — the guard's readOnly decision matches the slow path's.
+ * In hardware mode (checkProvenance off) resolveForAccess() looks up
+ * the live allocation containing the footprint in the live address
+ * index; live allocations never overlap, so when the pointer's own
+ * allocation is live and contains an n > 0 byte footprint it is the
+ * unique allocation that lookup finds — the guard's readOnly decision
+ * matches the slow path's.
  *
  * Counter discipline: the fast path bumps exactly the counters the
  * slow path would (loads/stores, one range read or write of n bytes,
@@ -46,21 +47,6 @@ namespace cherisem::mem {
 using ctype::IntKind;
 using ctype::Type;
 using ctype::TypeRef;
-
-const Allocation *
-MemoryModel::cachedAlloc(AllocId id) const
-{
-    if (id == fastAllocId_ && fastAlloc_)
-        return fastAlloc_;
-    auto it = allocations_.find(id);
-    if (it == allocations_.end())
-        return nullptr;
-    // Node pointers into allocations_ are stable: entries are only
-    // ever inserted (kill() flips `alive` in place).
-    fastAllocId_ = id;
-    fastAlloc_ = &it->second;
-    return fastAlloc_;
-}
 
 const Allocation *
 MemoryModel::fastGuard(const PointerValue &p, uint64_t n, unsigned align,
@@ -88,7 +74,7 @@ MemoryModel::fastGuard(const PointerValue &p, uint64_t n, unsigned align,
     // iotas need the full disambiguation machinery.
     if (!p.prov.isAlloc())
         return nullptr;
-    const Allocation *a = cachedAlloc(p.prov.id);
+    const Allocation *a = allocs_.find(p.prov.id);
     if (!a || !a->alive || !a->containsFootprint(addr, n))
         return nullptr;
     // Fast stores are never initializing stores, so read-only objects

@@ -83,16 +83,16 @@ MemoryModel::snapshot() const
 {
     auto snap = std::make_shared<MemorySnapshot>();
     snap->store = store_->snapshot();
-    snap->allocations = allocations_;
+    snap->allocations = allocs_;
     snap->iotas = iotas_;
     if (revoker_)
         snap->revoke = revoker_->capture();
-    snap->nextAlloc = nextAlloc_;
     snap->globalPtr = globalPtr_;
     snap->stackPtr = stackPtr_;
     snap->codePtr = codePtr_;
     snap->heap = heap_->snapshot();
     snap->functionsByAddr = functionsByAddr_;
+    snap->functionAddrs = functionAddrs_;
     snap->stats = stats_;
     return snap;
 }
@@ -102,21 +102,17 @@ MemoryModel::restore(const MemorySnapshotPtr &snap)
 {
     assert(snap);
     store_->restore(snap->store);
-    allocations_ = snap->allocations;
+    allocs_ = snap->allocations;
     iotas_ = snap->iotas;
     if (revoker_ && snap->revoke)
         revoker_->restoreFrom(*snap->revoke);
-    nextAlloc_ = snap->nextAlloc;
     globalPtr_ = snap->globalPtr;
     stackPtr_ = snap->stackPtr;
     codePtr_ = snap->codePtr;
     heap_->restore(snap->heap);
     functionsByAddr_ = snap->functionsByAddr;
+    functionAddrs_ = snap->functionAddrs;
     stats_ = snap->stats;
-    // The one-entry allocation cache holds a node pointer into the
-    // *previous* allocations_ map; map assignment invalidated it.
-    fastAllocId_ = 0;
-    fastAlloc_ = nullptr;
 }
 
 uint64_t
@@ -200,15 +196,15 @@ MemoryModel::allocate(const std::string &prefix, uint64_t size,
         break;
     }
 
-    AllocId id = nextAlloc_++;
-    Allocation alloc;
+    Allocation &alloc = allocs_.byId.emplace_back();
+    AllocId id = allocs_.byId.size();
     alloc.base = base;
     alloc.size = size;
     alloc.align = static_cast<unsigned>(eff_align);
     alloc.kind = kind;
     alloc.prefix = prefix;
     alloc.readOnly = read_only;
-    allocations_[id] = alloc;
+    allocs_.liveByBase.emplace(base, id);
     ++stats_.allocations;
     if (tracer_.enabled()) {
         tracer_.emit({.kind = obs::EventKind::Alloc,
@@ -266,17 +262,17 @@ MemoryModel::kill(const SourceLoc &loc, bool dyn, const PointerValue &p)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "pointer has no provenance");
     }
-    auto it = allocations_.find(*id);
-    if (it == allocations_.end()) {
+    Allocation *found = allocs_.find(*id);
+    if (!found) {
         // restore() rewinds the allocation table; a handle minted
-        // after the snapshot then names no node at all.  Observably
+        // after the snapshot then names no entry at all.  Observably
         // that allocation no longer exists, so report the same
         // verdict the dead-allocation branch below would.
         return Failure::undefined(dyn ? Ub::DoubleFree
                                       : Ub::AccessDeadAllocation,
                                   loc, "allocation no longer exists");
     }
-    Allocation &alloc = it->second;
+    Allocation &alloc = *found;
     if (!alloc.alive) {
         return Failure::undefined(dyn ? Ub::DoubleFree
                                       : Ub::AccessDeadAllocation,
@@ -305,6 +301,7 @@ MemoryModel::kill(const SourceLoc &loc, bool dyn, const PointerValue &p)
         }
     }
     alloc.alive = false;
+    allocs_.liveByBase.erase(alloc.base);
     ++stats_.kills;
     if (tracer_.enabled()) {
         tracer_.emit({.kind = obs::EventKind::Free,
@@ -343,30 +340,26 @@ MemoryModel::reallocRegion(const SourceLoc &loc, const PointerValue &p,
     if (!id)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "realloc of unprovenanced pointer");
-    auto it = allocations_.find(*id);
-    if (it == allocations_.end()) {
-        // See kill(): restore() can erase nodes for post-snapshot
-        // allocations, and a stale handle behaves like a dead one.
-        return Failure::undefined(Ub::DoubleFree, loc, "realloc");
-    }
     // Validate the old pointer fully *before* allocating the new
     // region: kill() would re-check all of this, but only after the
     // new allocation and the copy had already happened — leaking the
     // new region (and its Alloc/Load/Store trace events) on every UB
-    // path.
-    if (!it->second.alive)
+    // path.  A handle minted after a since-restored snapshot names
+    // no entry and behaves like a dead one (see kill()).
+    const Allocation *old = allocs_.find(*id);
+    if (!old || !old->alive)
         return Failure::undefined(Ub::DoubleFree, loc, "realloc");
-    if (it->second.kind != AllocKind::Region)
+    if (old->kind != AllocKind::Region)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "not a heap allocation");
-    if (p.address() != it->second.base)
+    if (p.address() != old->base)
         return Failure::undefined(Ub::FreeInvalidPointer, loc,
                                   "not the start of the allocation");
     if (p.cap && !p.cap->tag())
         return Failure::undefined(Ub::CheriInvalidCap, loc,
                                   "realloc via untagged capability");
-    uint64_t old_size = it->second.size;
-    uint64_t old_base = it->second.base;
+    uint64_t old_size = old->size;
+    uint64_t old_base = old->base;
 
     CHERISEM_TRY(np, allocateRegion("realloc", new_size,
                                     arch().capSize()));
@@ -400,6 +393,21 @@ MemoryModel::reallocRegion(const SourceLoc &loc, const PointerValue &p,
     return np;
 }
 
+std::array<AllocId, 2>
+AllocationTable::liveNear(uint64_t addr) const
+{
+    std::array<AllocId, 2> out{0, 0};
+    auto it = liveByBase.upper_bound(addr);
+    if (it == liveByBase.begin())
+        return out;
+    out[0] = (--it)->second;
+    if (it != liveByBase.begin())
+        out[1] = std::prev(it)->second;
+    if (out[1] && out[1] < out[0])
+        std::swap(out[0], out[1]);
+    return out;
+}
+
 // ---------------------------------------------------------------------
 // Provenance machinery (PNVI-ae-udi).
 // ---------------------------------------------------------------------
@@ -407,20 +415,20 @@ MemoryModel::reallocRegion(const SourceLoc &loc, const PointerValue &p,
 void
 MemoryModel::exposeAllocation(AllocId id)
 {
-    auto it = allocations_.find(id);
-    if (it == allocations_.end())
+    Allocation *alloc = allocs_.find(id);
+    if (!alloc)
         return;
     // Witness only the false->true transition so the event stream
     // stays independent of how often an already-exposed allocation is
     // re-exposed.
-    if (!it->second.exposed && tracer_.enabled()) {
+    if (!alloc->exposed && tracer_.enabled()) {
         tracer_.emit({.kind = obs::EventKind::Expose,
-                      .addr = it->second.base,
-                      .size = it->second.size,
+                      .addr = alloc->base,
+                      .size = alloc->size,
                       .a = id,
-                      .label = it->second.prefix});
+                      .label = alloc->prefix});
     }
-    it->second.exposed = true;
+    alloc->exposed = true;
 }
 
 void
@@ -442,17 +450,14 @@ MemoryModel::attachProvenance(uint64_t a)
     // PNVI-ae-udi: an int-to-pointer cast picks up the provenance of
     // an *exposed*, live allocation whose footprint (including
     // one-past) contains the address.  Two matches (the one-past /
-    // first-byte boundary) produce a symbolic iota.
+    // first-byte boundary) produce a symbolic iota over (lower id,
+    // higher id).
     AllocId found[2];
     int nfound = 0;
-    for (const auto &[id, alloc] : allocations_) {
-        if (!alloc.alive || !alloc.exposed)
-            continue;
-        if (alloc.containsForArith(a)) {
-            if (nfound < 2)
-                found[nfound] = id;
-            ++nfound;
-        }
+    for (AllocId id : allocs_.liveNear(a)) {
+        const Allocation *alloc = allocs_.find(id);
+        if (alloc && alloc->exposed && alloc->containsForArith(a))
+            found[nfound++] = id;
     }
     Provenance prov = Provenance::empty();
     if (nfound == 1) {
@@ -488,9 +493,11 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
     if (!config_.checkProvenance) {
         // Hardware view: no abstract provenance; capability checks
         // were already done.  Still try to find the allocation for
-        // diagnostics without failing.
-        for (const auto &[id, alloc] : allocations_) {
-            if (alloc.alive && alloc.containsFootprint(addr, n)) {
+        // diagnostics without failing; at a boundary a zero-length
+        // footprint fits both neighbours and the lower id wins.
+        for (AllocId id : allocs_.liveNear(addr)) {
+            const Allocation *alloc = allocs_.find(id);
+            if (alloc && alloc->containsFootprint(addr, n)) {
                 info.alloc = id;
                 info.haveAlloc = true;
                 break;
@@ -518,10 +525,9 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
             // shared liveness check below then raises the precise
             // AccessDeadAllocation — not a silent resolution to the
             // surviving neighbour, nor a generic bounds failure.
-            const Allocation &a1 = allocations_.at(first);
-            const Allocation &a2 = allocations_.at(*second);
-            bool in1 = a1.containsFootprint(addr, n);
-            bool in2 = a2.containsFootprint(addr, n);
+            bool in1 = allocs_.find(first)->containsFootprint(addr, n);
+            bool in2 =
+                allocs_.find(*second)->containsFootprint(addr, n);
             if (in1 && in2) {
                 return Failure::undefined(
                     Ub::AccessOutOfBounds, loc,
@@ -538,10 +544,10 @@ MemoryModel::resolveForAccess(const SourceLoc &loc, const Provenance &prov,
         }
     }
 
-    auto it = allocations_.find(id);
-    if (it == allocations_.end())
+    const Allocation *found = allocs_.find(id);
+    if (!found)
         return Failure::internal("unknown allocation", loc);
-    const Allocation &alloc = it->second;
+    const Allocation &alloc = *found;
     if (!alloc.alive) {
         return Failure::undefined(Ub::AccessDeadAllocation, loc,
                                   alloc.prefix);
@@ -605,9 +611,9 @@ MemoryModel::accessCheck(const SourceLoc &loc, const PointerValue &p,
     CHERISEM_TRY(info,
                  resolveForAccess(loc, p.prov, c.address(), n));
     if (want_store && !initializing && info.haveAlloc &&
-        allocations_.at(info.alloc).readOnly) {
+        allocs_.find(info.alloc)->readOnly) {
         return Failure::undefined(Ub::ModifyingConstObject, loc,
-                                  allocations_.at(info.alloc).prefix);
+                                  allocs_.find(info.alloc)->prefix);
     }
     return info;
 }
@@ -642,15 +648,13 @@ MemoryModel::arrayShift(const SourceLoc &loc, const PointerValue &p,
     // stay within [base, one-past] of the provenance allocation.
     if (config_.strictPtrArith && config_.checkProvenance) {
         std::optional<AllocId> id = peekProvenance(p.prov);
-        if (id) {
-            const Allocation &alloc = allocations_.at(*id);
-            if (!alloc.containsForArith(new_addr)) {
-                return Failure::undefined(
-                    Ub::OutOfBoundsPtrArith, loc,
-                    alloc.prefix + ": " + hexStr(new_addr) +
-                        " outside [" + hexStr(alloc.base) + "," +
-                        hexStr(alloc.base + alloc.size) + "]");
-            }
+        const Allocation *alloc = id ? allocs_.find(*id) : nullptr;
+        if (alloc && !alloc->containsForArith(new_addr)) {
+            return Failure::undefined(
+                Ub::OutOfBoundsPtrArith, loc,
+                alloc->prefix + ": " + hexStr(new_addr) + " outside [" +
+                    hexStr(alloc->base) + "," +
+                    hexStr(alloc->base + alloc->size) + "]");
         }
     }
 
@@ -832,27 +836,21 @@ PointerValue
 MemoryModel::makeFunctionPointer(uint32_t func_id,
                                  const std::string &name)
 {
-    for (const auto &[addr, id] : functionsByAddr_) {
-        if (id == func_id) {
-            auto it = std::find_if(
-                allocations_.begin(), allocations_.end(),
-                [&](const auto &kv) {
-                    return kv.second.kind == AllocKind::Code &&
-                        kv.second.base == addr;
-                });
-            assert(it != allocations_.end());
-            Capability c = Capability::make(
-                arch(), addr, uint128(addr) + it->second.size,
-                PermSet::code());
-            return PointerValue::function(
-                func_id, c.sealed(cap::OTYPE_SENTRY));
-        }
+    // Every code allocation is 16 bytes.
+    if (auto it = functionAddrs_.find(func_id);
+        it != functionAddrs_.end()) {
+        Capability c = Capability::make(arch(), it->second,
+                                        uint128(it->second) + 16,
+                                        PermSet::code());
+        return PointerValue::function(func_id,
+                                      c.sealed(cap::OTYPE_SENTRY));
     }
     MemResult<PointerValue> p =
         allocate(name, 16, 16, AllocKind::Code, true, true, nullptr);
     assert(p.ok());
     uint64_t addr = p.value().address();
     functionsByAddr_[addr] = func_id;
+    functionAddrs_[func_id] = addr;
     Capability c = p.value().cap->sealed(cap::OTYPE_SENTRY);
     return PointerValue::function(func_id, c);
 }
@@ -870,13 +868,6 @@ MemoryModel::functionAt(uint64_t addr) const
 // Introspection.
 // ---------------------------------------------------------------------
 
-const Allocation *
-MemoryModel::findAllocation(AllocId id) const
-{
-    auto it = allocations_.find(id);
-    return it == allocations_.end() ? nullptr : &it->second;
-}
-
 std::optional<uint8_t>
 MemoryModel::peekByte(uint64_t addr) const
 {
@@ -890,17 +881,6 @@ MemoryModel::peekCapMeta(uint64_t addr) const
 {
     uint64_t slot = addr / arch().capSize() * arch().capSize();
     return store_->capMetaAt(slot).value_or(CapMeta{});
-}
-
-size_t
-MemoryModel::liveAllocationCount() const
-{
-    size_t n = 0;
-    for (const auto &[id, alloc] : allocations_) {
-        if (alloc.alive)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace cherisem::mem

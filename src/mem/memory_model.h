@@ -31,7 +31,9 @@
 #ifndef CHERISEM_MEM_MEMORY_MODEL_H
 #define CHERISEM_MEM_MEMORY_MODEL_H
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -80,6 +82,36 @@ struct Allocation
     }
 };
 
+/**
+ * The A component.  Ids are dense from 1: allocation @c id is
+ * byId[id - 1], dead or alive (section 3.11's AccessDeadAllocation
+ * cases need the dead), and a deque keeps references stable as it
+ * grows.  liveByBase indexes the live allocations by base address.
+ */
+struct AllocationTable
+{
+    std::deque<Allocation> byId;
+    std::map<uint64_t, AllocId> liveByBase;
+
+    /** Allocation @p id; null for an id not minted, or minted after
+     *  the snapshot last restored. */
+    Allocation *
+    find(AllocId id)
+    {
+        return id - 1 < byId.size() ? &byId[id - 1] : nullptr;
+    }
+    const Allocation *
+    find(AllocId id) const
+    {
+        return id - 1 < byId.size() ? &byId[id - 1] : nullptr;
+    }
+    /** The live allocations that can contain @p addr, in id order, 0
+     *  for none.  Live reservations never overlap and are at least
+     *  one byte, so these are the greatest base <= addr and its
+     *  predecessor, which may end exactly at addr. */
+    std::array<AllocId, 2> liveNear(uint64_t addr) const;
+};
+
 /** Relational operators on pointers. */
 enum class RelOp { Lt, Gt, Le, Ge };
 
@@ -107,22 +139,22 @@ struct MemStats
 
 /**
  * A fork of the whole (A, S, (B, C)) machine state at one instant:
- * the allocations map, iota table, store contents (COW page table for
- * PagedStore), revocation-engine state (quarantine queue + shadow
- * bitmap), allocator cursors and free list, the function-address map,
- * and every deterministic counter.  Immutable once taken; restorable
- * any number of times, into the model that took it or into another
- * model with the same Config (modulo traceSink).  Cost: O(pages
- * touched since the snapshot) on the Paged backend.
+ * the allocation table and its live index, iota table, store
+ * contents (COW page table for PagedStore), revocation-engine state
+ * (quarantine queue + shadow bitmap), allocator cursors and free
+ * list, the two function maps, and every deterministic counter.
+ * Immutable once taken; restorable any number of times, into the
+ * model that took it or into another model with the same Config
+ * (modulo traceSink).  Cost: O(pages touched since the snapshot) on
+ * the Paged backend, plus a copy of the allocation table.
  */
 struct MemorySnapshot
 {
     StoreSnapshotPtr store;
-    std::map<AllocId, Allocation> allocations;
+    AllocationTable allocations;
     IotaTable iotas;
     /** Engaged iff the source model had a revocation engine. */
     std::optional<revoke::RevocationEngine::Snapshot> revoke;
-    AllocId nextAlloc = 1;
     uint64_t globalPtr = 0;
     uint64_t stackPtr = 0;
     uint64_t codePtr = 0;
@@ -130,6 +162,7 @@ struct MemorySnapshot
      *  slab freelists, live-slot registry, counters). */
     HeapSnapshot heap;
     std::map<uint64_t, uint32_t> functionsByAddr;
+    std::map<uint32_t, uint64_t> functionAddrs;
     MemStats stats;
 };
 
@@ -358,7 +391,13 @@ class MemoryModel
 
     /// @name Introspection (tests, intrinsics, formatting).
     /// @{
-    const Allocation *findAllocation(AllocId id) const;
+    /** Allocation @p id, dead or alive (see AllocationTable::find).
+     *  The pointer stays valid until the next restore(). */
+    const Allocation *
+    findAllocation(AllocId id) const
+    {
+        return allocs_.find(id);
+    }
     /** Resolve a (possibly iota) provenance to a concrete allocation
      *  without collapsing it; empty optional when unresolvable. */
     std::optional<AllocId> peekProvenance(const Provenance &p) const;
@@ -366,7 +405,7 @@ class MemoryModel
     std::optional<uint8_t> peekByte(uint64_t addr) const;
     /** Raw capability-slot metadata (no checks). */
     CapMeta peekCapMeta(uint64_t addr) const;
-    size_t liveAllocationCount() const;
+    size_t liveAllocationCount() const { return allocs_.liveByBase.size(); }
     /// @}
 
   private:
@@ -402,11 +441,6 @@ class MemoryModel
      *  path). */
     const Allocation *fastGuard(const PointerValue &p, uint64_t n,
                                 unsigned align, bool want_store);
-
-    /** One-entry allocation cache.  Safe because allocations_ entries
-     *  are never erased (kill() only flips `alive`), so node pointers
-     *  are stable for the lifetime of the model. */
-    const Allocation *cachedAlloc(AllocId id) const;
     /// @}
 
     /** The paper's bounds_check + PNVI checks for an @p n byte access
@@ -469,13 +503,12 @@ class MemoryModel
     ctype::LayoutEngine layout_;
 
     std::unique_ptr<AbstractStore> store_;       // M = B x C
-    std::map<AllocId, Allocation> allocations_;  // A
+    AllocationTable allocs_;                     // A
     IotaTable iotas_;                            // S
     /** Temporal-safety engine (src/revoke/); null when off.
      *  Declared after store_ — it holds a reference into it. */
     std::unique_ptr<revoke::RevocationEngine> revoker_;
 
-    AllocId nextAlloc_ = 1;
     uint64_t globalPtr_;
     uint64_t stackPtr_;
     uint64_t codePtr_;
@@ -490,13 +523,11 @@ class MemoryModel
     std::unique_ptr<HeapAllocator> heap_;
 
     std::map<uint64_t, uint32_t> functionsByAddr_;
+    std::map<uint32_t, uint64_t> functionAddrs_;
 
     /** Mutable so stats() can mirror the store counters on read. */
     mutable MemStats stats_;
 
-    /** One-entry cache for cachedAlloc(). */
-    mutable AllocId fastAllocId_ = 0;
-    mutable const Allocation *fastAlloc_ = nullptr;
     /** store_ downcast when it is the (final) PagedStore, else null:
      *  lets the fast path call the inline scalar primitives directly
      *  instead of through the vtable. */

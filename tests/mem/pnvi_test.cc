@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include "driver/profiles.h"
 #include "mem/memory_model.h"
+#include "obs/sinks.h"
 
 namespace cherisem::mem {
 namespace {
@@ -330,6 +332,122 @@ TEST_F(PnviTest, ValidForDeref)
     EXPECT_FALSE(
         mm_->validForDeref(PointerValue::null(mm_->arch()), 1));
 }
+
+// ---------------------------------------------------------------------
+// Boundary ties: two live allocations meet at one address.  Whatever
+// their address order, the lower id comes first among iota candidates
+// and wins a zero-length access under a hardware config.  The stack
+// grows down, so two locals put the lower id at the higher address;
+// two heap regions put it at the lower one.
+// ---------------------------------------------------------------------
+
+class BoundaryTieTest : public ::testing::TestWithParam<StoreBackend>
+{
+  protected:
+    obs::RingBufferSink ring_;
+    std::unique_ptr<MemoryModel> mm_;
+    PointerValue x, y; // stack: x (lower id) directly above y
+    PointerValue a, b; // heap: a (lower id) directly below b
+
+    /** @p profile's memory config on the parameter's backend, traced,
+     *  with both adjacent pairs allocated. */
+    void
+    make(const char *profile, bool x_read_only = false)
+    {
+        MemoryModel::Config cfg = driver::findProfile(profile)->memConfig;
+        cfg.storeBackend = GetParam();
+        cfg.traceSink = &ring_;
+        mm_ = std::make_unique<MemoryModel>(cfg);
+        TypeRef i32 = intType(IntKind::Int);
+        x = mm_->allocateObject("x", i32, x_read_only, false).value();
+        y = mm_->allocateObject("y", i32, false, false).value();
+        a = mm_->allocateRegion("a", 16, 16).value();
+        b = mm_->allocateRegion("b", 16, 16).value();
+        ASSERT_EQ(y.address() + 4, x.address());
+        ASSERT_EQ(a.address() + 16, b.address());
+    }
+
+    /** The allocation ids carried by traced events of @p kind. */
+    std::vector<AllocId>
+    idsOf(obs::EventKind kind) const
+    {
+        std::vector<AllocId> out;
+        for (const obs::TraceEvent &e : ring_.snapshot()) {
+            if (e.kind == kind)
+                out.push_back(e.a);
+        }
+        return out;
+    }
+
+    /** @p p's capability moved to @p addr. */
+    static PointerValue
+    at(PointerValue p, uint64_t addr)
+    {
+        p.cap = p.cap->withAddress(addr);
+        return p;
+    }
+};
+
+TEST_P(BoundaryTieTest, IotaCandidatesAreInIdOrder)
+{
+    make("cerberus");
+    // Expose in neither id nor address order.
+    for (const PointerValue *p : {&y, &x, &b, &a})
+        ASSERT_TRUE(mm_->intFromPtr({}, IntKind::Uintptr, *p).ok());
+    EXPECT_EQ(idsOf(obs::EventKind::Expose),
+              (std::vector<AllocId>{y.prov.id, x.prov.id, b.prov.id,
+                                    a.prov.id}));
+
+    for (auto [lo, hi] : {std::pair{&x, &y}, std::pair{&a, &b}}) {
+        uint64_t boundary = std::max(lo->address(), hi->address());
+        auto q = mm_->ptrFromInt(
+            {}, IntegerValue::ofNum(IntKind::Long,
+                                    static_cast<__int128>(boundary)));
+        ASSERT_TRUE(q.ok());
+        ASSERT_TRUE(q.value().prov.isIota());
+        auto [first, second] =
+            mm_->snapshot()->iotas.candidates(q.value().prov.id);
+        EXPECT_EQ(first, lo->prov.id);
+        EXPECT_EQ(second, std::optional<AllocId>(hi->prov.id));
+        // Re-exposing through the iota walks both candidates, which
+        // are already exposed: the event stream does not grow.
+        ASSERT_TRUE(
+            mm_->intFromPtr({}, IntKind::Uintptr, q.value()).ok());
+    }
+    EXPECT_EQ(idsOf(obs::EventKind::Expose).size(), 4u);
+}
+
+TEST_P(BoundaryTieTest, ZeroLengthAccessResolvesToLowerId)
+{
+    make("clang-morello-O0", /*x_read_only=*/true);
+    TypeRef empty = ctype::arrayOf(intType(IntKind::Int), 0);
+    // Each pointer is the lower-addressed neighbour's one-past
+    // pointer, which is also the upper neighbour's base.
+    PointerValue below_x = at(y, x.address());
+    PointerValue below_b = at(a, b.address());
+    // memcmp with n = 0 runs the same access check but witnesses no
+    // Load; the zero-size loads below do.
+    ASSERT_TRUE(mm_->memcmpOp({}, below_x, below_b, 0).ok());
+    ASSERT_TRUE(mm_->load({}, empty, below_x).ok());
+    ASSERT_TRUE(mm_->load({}, empty, below_b).ok());
+    EXPECT_EQ(idsOf(obs::EventKind::Load),
+              (std::vector<AllocId>{x.prov.id, a.prov.id}));
+    // The read-only check follows the same resolution: a zero-length
+    // store through y's capability lands on const x.
+    auto st = mm_->store({}, empty, below_x, MemValue(ArrayValue{}));
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().ub, Ub::ModifyingConstObject);
+    EXPECT_EQ(st.error().message, "x");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BoundaryTieTest,
+                         ::testing::Values(StoreBackend::Map,
+                                           StoreBackend::Paged),
+                         [](const auto &info) {
+                             return info.param == StoreBackend::Map
+                                        ? "MapStore"
+                                        : "PagedStore";
+                         });
 
 } // namespace
 } // namespace cherisem::mem

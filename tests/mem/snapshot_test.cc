@@ -11,12 +11,15 @@
  * soak (store_equivalence_test.cc, `soak` label); these are the
  * fast-tier cases pinning the shapes the soak would only hit by
  * chance: double restores, snapshot-of-snapshot chains, and
- * snapshot-under-quarantine.
+ * snapshot-under-quarantine, and a restore that must drop a
+ * post-snapshot allocation from the live address index.
  */
 #include <gtest/gtest.h>
 
+#include "driver/profiles.h"
 #include "mem/memory_model.h"
 #include "mem/store.h"
+#include "obs/sinks.h"
 #include "revoke/revocation.h"
 
 namespace cherisem::mem {
@@ -259,6 +262,55 @@ TEST(ModelSnapshot, SnapshotUnderQuarantine)
     mm.flushQuarantine();
     EXPECT_EQ(mm.stats().revoke.pendingRegions, 0u);
     EXPECT_EQ(mm.stats().revoke.sweeps, sweeps + 1);
+}
+
+TEST(ModelSnapshot, RestoreRewindsLiveIndex)
+{
+    for (const char *profile : {"cerberus", "clang-morello-O0"}) {
+        SCOPED_TRACE(profile);
+        obs::RingBufferSink ring;
+        MemoryModel::Config cfg = driver::findProfile(profile)->memConfig;
+        cfg.traceSink = &ring;
+        MemoryModel mm(cfg);
+        ASSERT_TRUE(mm.allocateRegion("keep", 16, 16).ok());
+        size_t live = mm.liveAllocationCount();
+        MemorySnapshotPtr snap = mm.snapshot();
+
+        // Diverge: an exposed allocation the snapshot never saw.
+        auto late = mm.allocateRegion("late", 32, 16).value();
+        ASSERT_TRUE(mm.intFromPtr({}, IntKind::Uintptr, late).ok());
+        ASSERT_EQ(mm.liveAllocationCount(), live + 1);
+
+        mm.restore(snap);
+        EXPECT_EQ(mm.liveAllocationCount(), live);
+
+        // An int-to-pointer cast into late's old footprint attaches
+        // nothing.
+        auto q = mm.ptrFromInt(
+            {}, IntegerValue::ofNum(
+                    IntKind::Long,
+                    static_cast<__int128>(late.address() + 4)));
+        ASSERT_TRUE(q.ok());
+        EXPECT_TRUE(q.value().prov.isEmpty());
+
+        // A hardware access through late's still-tagged capability
+        // finds no allocation there.
+        if (!cfg.checkProvenance) {
+            ring.clear();
+            ASSERT_TRUE(mm.load({}, intType(IntKind::Int), late).ok());
+            std::vector<obs::TraceEvent> ev = ring.snapshot();
+            ASSERT_EQ(ev.size(), 1u);
+            EXPECT_EQ(ev[0].kind, obs::EventKind::Load);
+            EXPECT_EQ(ev[0].a, 0u);
+        }
+
+        // Its stale handle names no allocation at all.
+        auto k = mm.kill({}, true, late);
+        ASSERT_FALSE(k.ok());
+        EXPECT_EQ(k.error().ub, Ub::DoubleFree);
+        EXPECT_EQ(k.error().message, "allocation no longer exists");
+        EXPECT_EQ(mm.liveAllocationCount(), live);
+    }
 }
 
 } // namespace
